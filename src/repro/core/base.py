@@ -88,5 +88,10 @@ class RunaheadController:
         return None
 
     def treat_poison_as_ready(self, instr: "DynInstr") -> bool:
-        """Whether ``instr`` may issue with an invalid (poisoned) source value."""
+        """Whether ``instr`` may issue with an invalid (poisoned) source value.
+
+        The answer may depend only on ``instr`` and the core's ``mode``: the
+        issue queue re-checks waiters on poisoned registers at poisoning time
+        and at every mode change, not on every cycle.
+        """
         return False

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.uarch.core import DynInstr
@@ -68,6 +68,9 @@ class PreciseRegisterDeallocationQueue:
         self.capacity = capacity
         self.stats = PRDQStats()
         self._entries: Deque[PRDQEntry] = deque()
+        #: The queued entry of each instruction, so marking it executed is
+        #: O(1) instead of a scan over up to ``capacity`` entries.
+        self._by_instr: Dict["DynInstr", PRDQEntry] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -95,17 +98,18 @@ class PreciseRegisterDeallocationQueue:
             raise OverflowError("PRDQ overflow")
         entry = PRDQEntry(instr=instr, old_preg=old_preg, old_is_fp=old_is_fp, reclaim_old=reclaim_old)
         self._entries.append(entry)
+        self._by_instr[instr] = entry
         self.stats.allocations += 1
         self.stats.peak_occupancy = max(self.stats.peak_occupancy, len(self._entries))
         return entry
 
     def mark_executed(self, instr: "DynInstr") -> bool:
         """Set the execute bit of the entry belonging to ``instr``; return whether found."""
-        for entry in self._entries:
-            if entry.instr is instr:
-                entry.executed = True
-                return True
-        return False
+        entry = self._by_instr.get(instr)
+        if entry is None:
+            return False
+        entry.executed = True
+        return True
 
     def deallocate_ready(self, free_register: Callable[[bool, int], None]) -> int:
         """Deallocate executed entries from the head, in order.
@@ -116,6 +120,7 @@ class PreciseRegisterDeallocationQueue:
         deallocated = 0
         while self._entries and self._entries[0].executed:
             entry = self._entries.popleft()
+            del self._by_instr[entry.instr]
             self.stats.deallocations += 1
             deallocated += 1
             if entry.reclaim_old and entry.old_preg is not None and entry.old_is_fp is not None:
@@ -127,4 +132,5 @@ class PreciseRegisterDeallocationQueue:
         """Discard all entries (runahead exit); return them for inspection."""
         entries = list(self._entries)
         self._entries.clear()
+        self._by_instr.clear()
         return entries

@@ -133,7 +133,7 @@ class PreciseRunaheadController(RunaheadController):
         self._runahead_pregs.clear()
         self._runahead_instrs = []
         if head.dest_preg is not None:
-            core.poisoned_pregs.add((bool(head.dest_is_fp), head.dest_preg))
+            core.poison(bool(head.dest_is_fp), head.dest_preg)
 
     # ------------------------------------------------------------------- exit
 

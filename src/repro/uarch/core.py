@@ -22,6 +22,11 @@ completing, the front-end pipeline delivering, or a controller-declared wake
 cycle).  This keeps multi-hundred-cycle full-window stalls cheap to simulate
 without changing any timing, because in an idle cycle no state changes except
 through those scheduled events.
+
+Issue is event-driven too: an issue-queue entry that is not ready parks on its
+blocking operand and is re-checked only when writeback, pseudo-retire or
+poisoning (:meth:`OoOCore.poison`) wakes that register, or the mode changes;
+a cycle with no woken candidates skips the select entirely.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.uarch.branch import GShareBranchPredictor
 from repro.uarch.config import CoreConfig
 from repro.uarch.frontend import FetchedUop, FrontEnd
-from repro.uarch.isa import execution_latency
+from repro.uarch.isa import EXECUTION_LATENCY
 from repro.uarch.issue_queue import IssueQueue
 from repro.uarch.lsq import LoadStoreQueues
 from repro.uarch.probes import Probe, ProbeSet, default_probes
@@ -92,7 +97,6 @@ class DynInstr:
         "completion_cycle",
         "is_load",
         "is_store",
-        "block_op",
     )
 
     def __init__(
@@ -128,10 +132,6 @@ class DynInstr:
         self.completion_cycle: Optional[int] = None
         self.is_load = uop.is_load
         self.is_store = uop.is_store
-        #: First source operand observed not ready by the issue-select scan
-        #: (a (is_fp, preg) pair), memoised so the scan can skip this entry
-        #: with one ready-bit read until that register becomes ready.
-        self.block_op: Optional[Tuple[bool, int]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(
@@ -418,7 +418,7 @@ class OoOCore:
         if self._events and self._events[0][0] <= cycle:
             progress += self._writeback()
         progress += self._commit()
-        if self.iq._entries:
+        if self.iq._ready:
             progress += self._issue()
         progress += self._dispatch()
         progress += self.frontend.tick(cycle)
@@ -448,14 +448,17 @@ class OoOCore:
         cycle = self.cycle
         heappop = heapq.heappop
         controller = self.controller
+        wake = self.iq.wake
         while events_heap and events_heap[0][0] <= cycle:
             _, _, instr = heappop(events_heap)
             if instr.squashed:
                 continue
             instr.completed = True
-            if instr.dest_preg is not None:
-                regfile = self.fp_rf if instr.dest_is_fp else self.int_rf
-                regfile._ready[instr.dest_preg] = True
+            dest_preg = instr.dest_preg
+            if dest_preg is not None:
+                is_fp = instr.dest_is_fp
+                (self.fp_rf if is_fp else self.int_rf)._ready[dest_preg] = True
+                wake((is_fp, dest_preg))
                 events.regfile_writes += 1
                 events.iq_wakeups += 1
             uop = instr.uop
@@ -556,7 +559,7 @@ class OoOCore:
                 # The load's result is marked INV; dependents may issue and
                 # propagate the poison instead of waiting for the data.
                 self.regfile_for(bool(head.dest_is_fp)).set_ready(head.dest_preg)
-                self.poisoned_pregs.add((bool(head.dest_is_fp), head.dest_preg))
+                self.poison(bool(head.dest_is_fp), head.dest_preg)
             if head.prev_preg is not None and head.dest_is_fp is not None:
                 regfile = self.regfile_for(bool(head.dest_is_fp))
                 if regfile.is_allocated(head.prev_preg):
@@ -569,96 +572,66 @@ class OoOCore:
 
     # ------------------------------------------------------------------ issue
 
-    def _operand_ready(self, instr: DynInstr) -> bool:
-        """Reference implementation of the operand-readiness rule.
+    def poison(self, is_fp: bool, preg: int) -> None:
+        """Mark a physical register INV (runahead mode) and wake its waiters.
 
-        The hot path (:meth:`_issue`) uses per-cycle closures that must stay
-        semantically identical to this method; keep the two in sync.
+        Every addition to :attr:`poisoned_pregs` must go through here, so
+        that issue-queue entries parked on the register re-check readiness.
         """
-        src_ops = instr.src_ops
-        if not src_ops:
-            return True
-        int_ready = self.int_rf._ready
-        fp_ready = self.fp_rf._ready
-        poisoned = self.poisoned_pregs
-        controller = self.controller
-        for op in src_ops:
-            is_fp, preg = op
-            if fp_ready[preg] if is_fp else int_ready[preg]:
-                continue
-            if (
-                op in poisoned
-                and controller is not None
-                and controller.treat_poison_as_ready(instr)
-            ):
-                continue
-            return False
-        return True
+        op = (is_fp, preg)
+        self.poisoned_pregs.add(op)
+        self.iq.wake(op)
 
-    def _has_poisoned_source(self, instr: DynInstr) -> bool:
-        if not self.poisoned_pregs:
-            return False
-        return any((is_fp, preg) in self.poisoned_pregs for is_fp, preg in instr.src_ops)
+    def _wake_poisoned(self) -> None:
+        """Re-check every entry parked on a poisoned register.
+
+        ``treat_poison_as_ready`` may depend on :attr:`mode`, so a mode
+        change can make a poisoned operand ready for its waiters.
+        """
+        wake = self.iq.wake
+        for op in self.poisoned_pregs:
+            wake(op)
 
     def _issue(self) -> int:
         cycle = self.cycle
-        int_ready = self.int_rf._ready
-        fp_ready = self.fp_rf._ready
-        poisoned = self.poisoned_pregs
-        if poisoned:
-            controller = self.controller
-            treat = (
-                controller.treat_poison_as_ready if controller is not None else None
-            )
-
-            def operand_ready(instr: DynInstr) -> bool:
-                for op in instr.src_ops:
-                    is_fp, preg = op
-                    if fp_ready[preg] if is_fp else int_ready[preg]:
-                        continue
-                    if treat is not None and op in poisoned and treat(instr):
-                        continue
-                    return False
-                return True
-
-            selected = self.iq.select_ready(
-                cycle,
-                self.config.pipeline_width,
-                operand_ready,
-                self.config.max_loads_per_cycle,
-                self.config.max_stores_per_cycle,
-            )
-        else:
-            # Poison-free fast path (every cycle outside runahead mode): the
-            # readiness rule collapses to raw ready-bit reads, evaluated
-            # inside the issue queue's blocker-memoised scan with no
-            # per-cycle closure allocation and no set membership tests.
-            selected = self.iq.select_ready_fast(
-                cycle,
-                self.config.pipeline_width,
-                int_ready,
-                fp_ready,
-                self.config.max_loads_per_cycle,
-                self.config.max_stores_per_cycle,
-            )
+        config = self.config
+        controller = self.controller
+        iq = self.iq
+        selected = iq.select_ready(
+            cycle,
+            config.pipeline_width,
+            config.max_loads_per_cycle,
+            config.max_stores_per_cycle,
+            self.int_rf._ready,
+            self.fp_rf._ready,
+            self.poisoned_pregs,
+            controller.treat_poison_as_ready if controller is not None else None,
+        )
         issued = 0
         events = self.stats.events
+        poisoned_now = False
         for instr in selected:
-            # Named instr_poisoned, not poisoned: the operand_ready closure
-            # above captures `poisoned` (the preg set) as a free variable.
-            instr_poisoned = instr.poisoned or self._has_poisoned_source(instr)
-            if instr.is_load and not instr_poisoned:
+            if poisoned_now and not instr.poisoned:
+                # Select ran before this cycle's issues poisoned anything.  A
+                # consumer can share its producer's issue cycle only through a
+                # stale ready bit (a pseudo-retired load writing back after a
+                # flush), and then it inherits the fresh poison.
+                poisoned = self.poisoned_pregs
+                instr.poisoned = any(op in poisoned for op in instr.src_ops)
+            if instr.poisoned:
+                # A poisoned source (or a poisoned load) skips the memory
+                # access and propagates INV to the destination.
+                latency = EXECUTION_LATENCY[instr.uop.uop_class]
+                if instr.dest_preg is not None:
+                    self.poison(bool(instr.dest_is_fp), instr.dest_preg)
+                    poisoned_now = True
+            elif instr.is_load:
                 latency = self._issue_load(instr)
                 if latency is None:
                     continue  # MSHR full: retry in a later cycle.
             else:
-                latency = execution_latency(instr.uop.uop_class)
-                if instr.is_load:
-                    instr.poisoned = True
-            if instr_poisoned and instr.dest_preg is not None:
-                self.poisoned_pregs.add((bool(instr.dest_is_fp), instr.dest_preg))
-                instr.poisoned = True
-            self.iq.remove(instr)
+                latency = EXECUTION_LATENCY[instr.uop.uop_class]
+            iq.remove(instr)
             instr.issued = True
             instr.issue_cycle = cycle
             self.schedule_completion(instr, cycle + latency)
@@ -727,7 +700,7 @@ class OoOCore:
         if len(rob._entries) >= rob.capacity:
             return False
         iq = self.iq
-        if len(iq._entries) >= iq.capacity:
+        if iq._count >= iq.capacity:
             return False
         if uop.is_memory and not self.lsq.can_dispatch_uop(uop):
             return False
@@ -768,23 +741,16 @@ class OoOCore:
             prev_preg = previous.physical
         cycle = self.cycle
         instr = DynInstr(
-            uop=uop,
-            seq=entry.seq,
-            runahead=runahead,
-            src_ops=src_ops,
-            dest_is_fp=dest_is_fp,
-            dest_preg=dest_preg,
-            prev_preg=prev_preg,
-            predicted_taken=entry.predicted_taken,
-            dispatch_cycle=cycle,
-            earliest_issue_cycle=cycle + 1,
+            uop, entry.seq, runahead, src_ops, dest_is_fp, dest_preg, prev_preg,
+            entry.predicted_taken, cycle, cycle + 1,
         )
         events = self.stats.events
         events.renamed_uops += 1
         events.dispatched_uops += 1
         events.iq_writes += 1
         if enter_rob:
-            self.rob.push(instr)
+            # Capacity was checked by the caller (can_dispatch).
+            self.rob._entries.append(instr)
             events.rob_writes += 1
             if uop.is_memory:
                 self.lsq.dispatch(instr)
@@ -850,6 +816,7 @@ class OoOCore:
         self._open_interval = interval
         self.stats.intervals.append(interval)
         self.stats.runahead_invocations += 1
+        self._wake_poisoned()
         if self.probes.runahead_enter:
             for probe in self.probes.runahead_enter:
                 probe.on_runahead_enter(self, cycle)
@@ -861,6 +828,7 @@ class OoOCore:
         if self._open_interval is not None:
             self._open_interval.exit_cycle = cycle
             self._open_interval = None
+        self._wake_poisoned()
         if self.probes.runahead_exit:
             for probe in self.probes.runahead_exit:
                 probe.on_runahead_exit(self, cycle)

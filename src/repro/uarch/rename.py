@@ -18,12 +18,20 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.workloads.trace import FP_REG_BASE, NUM_ARCH_REGS, is_fp_reg
 
 
-@dataclass(frozen=True)
 class RATEntry:
-    """One architectural register's current mapping."""
+    """One architectural register's current mapping.
 
-    physical: int
-    producer_pc: Optional[int] = None
+    Treated as immutable (a rename replaces the entry, so checkpoints can
+    share entries), but a plain ``__slots__`` class: one is built on every
+    rename with a destination, where a frozen dataclass's
+    ``object.__setattr__`` construction is measurably slower.
+    """
+
+    __slots__ = ("physical", "producer_pc")
+
+    def __init__(self, physical: int, producer_pc: Optional[int] = None) -> None:
+        self.physical = physical
+        self.producer_pc = producer_pc
 
 
 @dataclass(frozen=True)

@@ -141,38 +141,73 @@ class TestROB:
 
 
 class TestIssueQueue:
+    # Readiness is driven through ready bits: an entry's sources are
+    # (is_fp, preg) operands looked up in the int/fp ready-bit lists.
+    INT_READY = [True] * 8
+    FP_READY = [True] * 8
+
     def test_select_oldest_first_with_width(self):
         iq = IssueQueue(capacity=8)
         for seq in (5, 1, 3):
             instr = make_instr(seq)
+            instr.src_ops = ((False, 2),)
             instr.earliest_issue_cycle = 0
             iq.insert(instr)
-        picked = iq.select_ready(0, width=2, is_ready=lambda i: True, max_loads=2, max_stores=1)
+        picked = iq.select_ready(
+            0, width=2, max_loads=2, max_stores=1,
+            int_ready=self.INT_READY, fp_ready=self.FP_READY,
+        )
         assert [instr.seq for instr in picked] == [1, 3]
 
     def test_port_limits(self):
         iq = IssueQueue()
         for seq in range(4):
             instr = make_instr(seq, uop_class=UopClass.LOAD, addr=64 * seq, dst=1)
+            instr.src_ops = ((False, seq),)
             instr.earliest_issue_cycle = 0
             iq.insert(instr)
-        picked = iq.select_ready(0, width=4, is_ready=lambda i: True, max_loads=2, max_stores=1)
+        picked = iq.select_ready(0, 4, 2, 1, self.INT_READY, self.FP_READY)
         assert len(picked) == 2
 
     def test_not_ready_filtered(self):
         iq = IssueQueue()
         instr = make_instr(0)
+        instr.src_ops = ((False, 3), (True, 4))
         instr.earliest_issue_cycle = 0
         iq.insert(instr)
-        assert iq.select_ready(0, 4, lambda i: False, 2, 1) == []
+        int_ready = [True] * 8
+        fp_ready = [True] * 8
+        fp_ready[4] = False
+        assert iq.select_ready(0, 4, 2, 1, int_ready, fp_ready) == []
+        # Parked on p4 (fp): setting the bit alone is not seen until woken.
+        fp_ready[4] = True
+        assert iq.select_ready(0, 4, 2, 1, int_ready, fp_ready) == []
+        iq.wake((True, 4))
+        assert iq.select_ready(0, 4, 2, 1, int_ready, fp_ready) == [instr]
+
+    def test_poisoned_source_follows_poison_rule(self):
+        iq = IssueQueue()
+        instr = make_instr(0)
+        instr.src_ops = ((False, 3),)
+        instr.earliest_issue_cycle = 0
+        iq.insert(instr)
+        int_ready = [False] * 8
+        poisoned = {(False, 3)}
+        never = lambda i: False  # noqa: E731
+        assert iq.select_ready(0, 4, 2, 1, int_ready, [], poisoned, never) == []
+        iq.wake((False, 3))
+        picked = iq.select_ready(0, 4, 2, 1, int_ready, [], poisoned, lambda i: True)
+        assert picked == [instr]
+        assert instr.poisoned
 
     def test_earliest_issue_cycle_respected(self):
         iq = IssueQueue()
         instr = make_instr(0)
+        instr.src_ops = ((False, 1),)
         instr.earliest_issue_cycle = 10
         iq.insert(instr)
-        assert iq.select_ready(5, 4, lambda i: True, 2, 1) == []
-        assert iq.select_ready(10, 4, lambda i: True, 2, 1) == [instr]
+        assert iq.select_ready(5, 4, 2, 1, self.INT_READY, self.FP_READY) == []
+        assert iq.select_ready(10, 4, 2, 1, self.INT_READY, self.FP_READY) == [instr]
 
     def test_squash_predicate(self):
         iq = IssueQueue()
