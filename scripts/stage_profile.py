@@ -27,7 +27,7 @@ from repro.simulation.golden import (  # noqa: E402
     DEFAULT_GOLDEN_VARIANTS,
     DEFAULT_GOLDEN_WORKLOADS,
 )
-from repro.simulation.simulator import run_variant  # noqa: E402
+from repro.simulation.simulator import SimulationRequest, run_simulation  # noqa: E402
 
 #: Core method name -> stage; ``tick`` is split by the file that defines it.
 STAGES = {
@@ -35,9 +35,10 @@ STAGES = {
     "_dispatch": "rename/dispatch",
     "_writeback": "writeback",
     "_commit": "commit / pseudo-retire",
-    "_next_wake_cycle": "run loop, idle skip",
+    "next_wake_cycle": "run loop, idle skip",
     "skip_to": "run loop, idle skip",
-    "step": "run loop, idle skip",
+    "step_cycle": "run loop, idle skip",
+    "run": "run loop, idle skip",
 }
 
 
@@ -67,7 +68,7 @@ def main() -> None:
     try:
         for trace in traces.values():
             for variant in DEFAULT_GOLDEN_VARIANTS:
-                run_variant(trace, variant=variant)
+                run_simulation(trace, SimulationRequest(variant=variant))
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0, 0)
     total = sum(samples.values())

@@ -31,7 +31,7 @@ from repro.core import (
     build_core,
 )
 from repro.energy import EnergyModel, EnergyReport
-from repro.memory import HierarchyConfig, MemoryHierarchy
+from repro.memory import HierarchyConfig
 from repro.registry import (
     PROBE_REGISTRY,
     VARIANT_REGISTRY,
@@ -49,14 +49,13 @@ from repro.simulation import (
     ComparisonResult,
     ExperimentEngine,
     SimPointRunResult,
+    SimulationRequest,
     SimulationResult,
-    Simulator,
     SweepResult,
     SweepSpec,
     run_comparison,
-    run_performance_comparison,
     run_simpoints,
-    run_variant,
+    run_simulation,
 )
 from repro.uarch import CoreConfig, CoreStats, OoOCore
 from repro.uarch.probes import Probe
@@ -89,7 +88,6 @@ __all__ = [
     "EnergyModel",
     "EnergyReport",
     "HierarchyConfig",
-    "MemoryHierarchy",
     "PROBE_REGISTRY",
     "VARIANT_REGISTRY",
     "WORKLOAD_REGISTRY",
@@ -104,14 +102,13 @@ __all__ = [
     "ComparisonResult",
     "ExperimentEngine",
     "SimPointRunResult",
+    "SimulationRequest",
     "SimulationResult",
-    "Simulator",
     "SweepResult",
     "SweepSpec",
     "run_comparison",
-    "run_performance_comparison",
     "run_simpoints",
-    "run_variant",
+    "run_simulation",
     "CoreConfig",
     "CoreStats",
     "OoOCore",

@@ -21,7 +21,7 @@ CLI without further changes here.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 from repro.core.base import RunaheadController
 from repro.core.emq import ExtendedMicroOpQueue
@@ -30,10 +30,12 @@ from repro.core.pre import PreciseRunaheadController
 from repro.core.runahead import TraditionalRunaheadController
 from repro.core.runahead_buffer import DependencyChain, RunaheadBufferController
 from repro.core.sst import StallingSliceTable
-from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.memory.hierarchy import HierarchyConfig, PrivateHierarchy
 from repro.registry import VARIANT_REGISTRY, register_variant
 from repro.uarch.config import CoreConfig
 from repro.uarch.core import OoOCore
+from repro.uarch.probes import Probe, default_probes
+from repro.workloads.source import TraceSource
 from repro.workloads.trace import Trace
 
 
@@ -103,17 +105,28 @@ def build_controller(variant: str) -> Optional[RunaheadController]:
 
 
 def build_core(
-    trace: Trace,
+    trace: Union[Trace, TraceSource],
     variant: str = "pre",
     config: Optional[CoreConfig] = None,
-    hierarchy: Optional[MemoryHierarchy] = None,
+    hierarchy: Optional[PrivateHierarchy] = None,
     hierarchy_config: Optional[HierarchyConfig] = None,
+    probes: Sequence[Probe] = (),
 ) -> OoOCore:
-    """Build a simulated core running ``trace`` with the given runahead variant."""
+    """Build a simulated core running ``trace`` with the given runahead variant.
+
+    The one core constructor: the run builders use it too.  ``probes``
+    attach on top of the default probes; without ``hierarchy`` the core gets
+    a private hierarchy over its own one-core uncore.
+    """
     if hierarchy is None:
-        hierarchy = MemoryHierarchy(hierarchy_config)
-    controller = build_controller(variant)
-    return OoOCore(trace, config=config, hierarchy=hierarchy, controller=controller)
+        hierarchy = PrivateHierarchy(hierarchy_config)
+    return OoOCore(
+        trace,
+        config=config,
+        hierarchy=hierarchy,
+        controller=build_controller(variant),
+        probes=default_probes() + list(probes),
+    )
 
 
 __all__ = [

@@ -1,15 +1,20 @@
-"""Single-run simulation driver.
+"""Run builders: one (trace, variant) simulation, or N cores on one uncore.
 
-``run_variant`` (or the :class:`Simulator` convenience wrapper) builds a fresh
-memory hierarchy and core for one (trace, variant) pair, runs it to
-completion, evaluates the energy model, and returns everything an experiment
-needs in a :class:`SimulationResult`.
+:func:`run_simulation` simulates one trace or source on one runahead
+variant, described by a :class:`SimulationRequest`, and returns everything
+an experiment needs in a :class:`SimulationResult`.
+:func:`~repro.simulation.multicore.run_multicore` runs several
+``(trace, variant)`` pairs on one shared uncore.  Both go through one private
+builder: a :class:`~repro.memory.hierarchy.SharedUncore`, one
+:class:`~repro.memory.hierarchy.PrivateHierarchy` and core per pair, the
+lockstep :class:`~repro.uarch.core.MultiCoreSimulator`, and the energy model
+for core 0.  A single-core run is the one-core case of that path.
 
 Workloads are accepted either as an in-memory
-:class:`~repro.workloads.trace.Trace` (the original, backward-compatible
-path) or as any :class:`~repro.workloads.source.TraceSource` — streaming
-generator, recorded trace file, SimPoint window — which the core consumes
-lazily.  Instrumentation probes (registry names or
+:class:`~repro.workloads.trace.Trace` or as any
+:class:`~repro.workloads.source.TraceSource` — streaming generator, recorded
+trace file, SimPoint window — which the core consumes lazily.
+Instrumentation probes (registry names or
 :class:`~repro.uarch.probes.Probe` instances) can be attached per run; their
 findings land in :attr:`SimulationResult.probe_reports`.
 
@@ -24,17 +29,16 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core import VARIANT_LABELS, VARIANTS, build_controller
+from repro.core import VARIANT_LABELS, build_core
 from repro.core.pre import PreciseRunaheadController
 from repro.core.runahead_buffer import RunaheadBufferController
 from repro.energy.cacti import SRAMModel
 from repro.energy.model import EnergyModel, EnergyReport
-from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.registry import VARIANT_REGISTRY
+from repro.memory.hierarchy import HierarchyConfig, PrivateHierarchy, SharedUncore
 from repro.serde import JSONSerializable
 from repro.uarch.config import CoreConfig
-from repro.uarch.core import OoOCore
-from repro.uarch.probes import Probe, build_probe, default_probes
+from repro.uarch.core import MultiCoreSimulator, OoOCore
+from repro.uarch.probes import Probe, build_probe
 from repro.uarch.stats import CoreStats
 from repro.workloads.simpoint import SimPointSampler
 from repro.workloads.source import TraceSource, as_source
@@ -45,6 +49,12 @@ TraceLike = Union[Trace, TraceSource]
 
 #: Accepted probe argument: registry names or ready-made instances.
 ProbeLike = Union[str, Probe]
+
+#: Default spacing between per-core address spaces: far larger than any
+#: workload footprint, so cores never alias the same lines (contention is
+#: capacity and bandwidth, not false sharing), yet small enough that XOR-fold
+#: bank hashing still spreads each core's pages over all DRAM banks.
+DEFAULT_ADDRESS_STRIDE = 1 << 30
 
 
 @dataclass
@@ -175,11 +185,93 @@ def resolve_probes(probes: Optional[Sequence[ProbeLike]]) -> List[Probe]:
     return [build_probe(probe) for probe in (probes or ())]
 
 
+def _simulate(
+    cores: Sequence[Tuple[TraceLike, str]],
+    config: Optional[CoreConfig],
+    hierarchy_config: Optional[HierarchyConfig],
+    max_cycles: Optional[int],
+    probes: Sequence[Probe],
+    address_stride: int = DEFAULT_ADDRESS_STRIDE,
+    warmup_uops: int = 0,
+) -> SimulationResult:
+    """Build and run ``(trace, variant)`` pairs on one shared uncore.
+
+    The one run builder behind :func:`run_simulation` and
+    :func:`~repro.simulation.multicore.run_multicore`.  Core ``i`` gets its
+    own private hierarchy, its address space offset by ``i *
+    address_stride``; ``probes`` attach to core 0, the focus core, whose
+    stats and energy fill the result's top-level fields.  The result carries
+    the per-core and uncore sections; single-core callers drop them.  An
+    unknown variant raises ``ValueError`` from
+    :func:`~repro.core.build_controller`.
+    """
+    if warmup_uops < 0:
+        raise ValueError(f"warmup_uops must be >= 0, got {warmup_uops}")
+    if address_stride <= 0:
+        raise ValueError(f"address_stride must be positive, got {address_stride}")
+    config = config or CoreConfig()
+    hierarchy_config = hierarchy_config or HierarchyConfig()
+    uncore = SharedUncore(config=hierarchy_config, num_cores=len(cores))
+    built = []
+    for core_id, (trace, variant) in enumerate(cores):
+        source = as_source(trace)
+        hierarchy = PrivateHierarchy(
+            config=hierarchy_config,
+            uncore=uncore,
+            core_id=core_id,
+            addr_offset=core_id * address_stride,
+        )
+        core = build_core(
+            source,
+            variant,
+            config=config,
+            hierarchy=hierarchy,
+            probes=probes if core_id == 0 else (),
+        )
+        core.begin_run(warmup_uops)
+        built.append((core, source, variant))
+    all_stats = MultiCoreSimulator([core for core, _, _ in built], max_cycles).run()
+
+    focus_core, focus_source, focus_variant = built[0]
+    report = EnergyModel().evaluate(
+        variant=focus_variant,
+        stats=all_stats[0],
+        hierarchy=focus_core.hierarchy,
+        config=config,
+        extra_sram=_runahead_sram_models(focus_core),
+    )
+    return SimulationResult(
+        variant=focus_variant,
+        trace_name=focus_source.name,
+        stats=all_stats[0],
+        energy=report,
+        config=config,
+        # Default probes report None, so this is exactly the extras' findings.
+        probe_reports=focus_core.probes.reports(),
+        cores=[
+            CoreResult(
+                core_id=core_id,
+                variant=variant,
+                trace_name=source.name,
+                stats=all_stats[core_id],
+            )
+            for core_id, (_, source, variant) in enumerate(built)
+        ],
+        uncore=UncoreReport(
+            l3_hits=list(uncore.l3_hits),
+            l3_misses=list(uncore.l3_misses),
+            dram_reads=list(uncore.dram_reads),
+            dram_writes=list(uncore.dram_writes),
+            dram_queue_delay_cycles=list(uncore.dram_queue_delay_cycles),
+            bus_busy_cycles=list(uncore.bus_busy_cycles),
+        ),
+    )
+
+
 def run_simulation(
     trace: TraceLike,
     request: Optional[SimulationRequest] = None,
     *,
-    energy_model: Optional[EnergyModel] = None,
     extra_probes: Sequence[ProbeLike] = (),
 ) -> SimulationResult:
     """Simulate a trace or source as described by a :class:`SimulationRequest`.
@@ -190,126 +282,22 @@ def run_simulation(
     window while caches, predictors and queues enter it warm.  ``0`` (the
     default) is the exact, bit-identical whole-run path.
 
-    ``energy_model`` and ``extra_probes`` sit outside the request because they
-    carry live objects that cannot (and should not) serialise: a custom model
-    and ready-made probe instances are an in-process affair.
+    ``extra_probes`` sits outside the request because ready-made probe
+    instances are live objects that cannot (and should not) serialise.
     """
     request = request or SimulationRequest()
-    if request.variant not in VARIANT_REGISTRY:
-        raise ValueError(
-            f"unknown variant {request.variant!r}; expected one of "
-            f"{', '.join(VARIANT_REGISTRY.names())}"
-        )
-    if request.warmup_uops < 0:
-        raise ValueError(f"warmup_uops must be >= 0, got {request.warmup_uops}")
-    source = as_source(trace)
-    config = request.config or CoreConfig()
-    hierarchy = MemoryHierarchy(request.hierarchy_config)
-    controller = build_controller(request.variant)
-    attached = resolve_probes(request.probes) + resolve_probes(extra_probes)
-    core = OoOCore(
-        source,
-        config=config,
-        hierarchy=hierarchy,
-        controller=controller,
-        probes=default_probes() + attached,
+    result = _simulate(
+        [(trace, request.variant)],
+        request.config,
+        request.hierarchy_config,
+        request.max_cycles,
+        resolve_probes(request.probes) + resolve_probes(extra_probes),
+        warmup_uops=request.warmup_uops,
     )
-    stats = core.run(
-        max_cycles=request.max_cycles,
-        stats_start_uop=request.warmup_uops or None,
-    )
-    model = energy_model or EnergyModel()
-    report = model.evaluate(
-        variant=request.variant,
-        stats=stats,
-        hierarchy=hierarchy,
-        config=config,
-        extra_sram=_runahead_sram_models(core),
-    )
-    return SimulationResult(
-        variant=request.variant,
-        trace_name=source.name,
-        stats=stats,
-        energy=report,
-        config=config,
-        # Default probes report None, so this is exactly the extras' findings.
-        probe_reports=core.probes.reports(),
-    )
-
-
-def run_variant(
-    trace: TraceLike,
-    variant: str = "pre",
-    config: Optional[CoreConfig] = None,
-    hierarchy_config: Optional[HierarchyConfig] = None,
-    energy_model: Optional[EnergyModel] = None,
-    max_cycles: Optional[int] = None,
-    probes: Optional[Sequence[ProbeLike]] = None,
-    warmup_uops: int = 0,
-) -> SimulationResult:
-    """Simulate a trace or source on one runahead variant and return its results.
-
-    Deprecated keyword-argument spelling of :func:`run_simulation`: the run
-    parameters now live in a :class:`SimulationRequest`, and this shim simply
-    builds one.  Kept (indefinitely) because half the test suite and every
-    notebook calls it; new call sites should construct a request.
-    """
-    request = SimulationRequest(
-        variant=variant,
-        config=config,
-        hierarchy_config=hierarchy_config,
-        max_cycles=max_cycles,
-        warmup_uops=warmup_uops,
-    )
-    # All probes ride through ``extra_probes`` (names resolve identically
-    # there, and mixed name/instance lists keep their relative order).
-    return run_simulation(
-        trace,
-        request,
-        energy_model=energy_model,
-        extra_probes=list(probes or ()),
-    )
-
-
-class Simulator:
-    """Convenience wrapper that reuses one configuration across many runs."""
-
-    def __init__(
-        self,
-        config: Optional[CoreConfig] = None,
-        hierarchy_config: Optional[HierarchyConfig] = None,
-        energy_model: Optional[EnergyModel] = None,
-    ) -> None:
-        self.config = config or CoreConfig()
-        self.hierarchy_config = hierarchy_config
-        self.energy_model = energy_model or EnergyModel()
-
-    def run(
-        self,
-        trace: TraceLike,
-        variant: str = "pre",
-        max_cycles: Optional[int] = None,
-        probes: Optional[Sequence[ProbeLike]] = None,
-    ) -> SimulationResult:
-        """Simulate one trace (or source) on one variant."""
-        return run_variant(
-            trace,
-            variant=variant,
-            config=self.config,
-            hierarchy_config=self.hierarchy_config,
-            energy_model=self.energy_model,
-            max_cycles=max_cycles,
-            probes=probes,
-        )
-
-    def run_all_variants(
-        self, trace: TraceLike, variants=VARIANTS, max_cycles: Optional[int] = None
-    ) -> Dict[str, SimulationResult]:
-        """Simulate one trace (or source) on every requested variant."""
-        return {
-            variant: self.run(trace, variant=variant, max_cycles=max_cycles)
-            for variant in variants
-        }
+    # A single-core result carries no per-core or uncore sections.
+    result.cores = []
+    result.uncore = None
+    return result
 
 
 # ---------------------------------------------------------- SimPoint execution
@@ -395,7 +383,6 @@ def run_simpoints(
     variant: str = "pre",
     config: Optional[CoreConfig] = None,
     hierarchy_config: Optional[HierarchyConfig] = None,
-    energy_model: Optional[EnergyModel] = None,
     max_cycles: Optional[int] = None,
     probes: Optional[Sequence[ProbeLike]] = None,
     interval_size: int = 2_000,
@@ -419,9 +406,7 @@ def run_simpoints(
     ``workers``/``cache_dir`` (or a ready-made ``engine``) and intervals run
     on the process pool and land in the shared
     :class:`~repro.simulation.engine.ResultCache` — a repeated SimPoint run
-    re-simulates nothing.  A custom ``energy_model`` cannot cross the
-    engine's process/serde boundary, so that case runs the windows serially
-    in-process (the original path, identical results).
+    re-simulates nothing.
 
     ``probes`` must be registry *names*: each interval gets fresh probe
     instances, so per-interval ``probe_reports`` never accumulate state
@@ -440,37 +425,20 @@ def run_simpoints(
         interval_size=interval_size, max_clusters=max_clusters, seed=seed
     )
     intervals, total_uops = sampler.select_source(source)
-    if energy_model is not None and engine is None:
-        request = SimulationRequest(
-            variant=variant,
-            config=config,
-            hierarchy_config=hierarchy_config,
-            max_cycles=max_cycles,
-            probes=list(probes or ()),
-        )
-        results = [
-            run_simulation(
-                source.window(interval.start, interval.end, name=source.name),
-                request,
-                energy_model=energy_model,
-            )
-            for interval in intervals
-        ]
-    else:
-        if engine is None:
-            # Local import: engine.py imports this module at load time.
-            from repro.simulation.engine import ExperimentEngine
+    if engine is None:
+        # Local import: engine.py imports this module at load time.
+        from repro.simulation.engine import ExperimentEngine
 
-            engine = ExperimentEngine(workers=workers, cache_dir=cache_dir)
-        results = engine.run_trace_windows(
-            source,
-            variant=variant,
-            windows=[(interval.start, interval.end, 0) for interval in intervals],
-            config=config,
-            hierarchy_config=hierarchy_config,
-            max_cycles=max_cycles,
-            probes=list(probes or ()),
-        )
+        engine = ExperimentEngine(workers=workers, cache_dir=cache_dir)
+    results = engine.run_trace_windows(
+        source,
+        variant=variant,
+        windows=[(interval.start, interval.end, 0) for interval in intervals],
+        config=config,
+        hierarchy_config=hierarchy_config,
+        max_cycles=max_cycles,
+        probes=list(probes or ()),
+    )
     interval_results = [
         SimPointIntervalResult(
             start=interval.start,

@@ -16,12 +16,17 @@ baseline out-of-order processor the paper normalises against.
 
 Simulation speed
 ----------------
-The main loop skips idle periods: when no pipeline stage makes progress in a
-cycle, the clock jumps directly to the next scheduled event (an execution
-completing, the front-end pipeline delivering, or a controller-declared wake
-cycle).  This keeps multi-hundred-cycle full-window stalls cheap to simulate
-without changing any timing, because in an idle cycle no state changes except
-through those scheduled events.
+Every simulation runs through one stepping loop, :meth:`MultiCoreSimulator.run`;
+a single-core run is its one-core case.  The loop skips idle periods: when no
+pipeline stage of any core makes progress in a cycle, the clock jumps directly
+to the next scheduled event (an execution completing, the front-end pipeline
+delivering, or a controller-declared wake cycle).  This keeps
+multi-hundred-cycle full-window stalls cheap to simulate without changing the
+timing, because in an idle cycle no state changes except through those
+scheduled events.  Two known model defects break that rule — PRE's SST lookup
+counters and loads refused by full MSHRs — and
+``tests/test_stepping_reference.py`` pins both against a loop that never
+skips.
 
 Issue is event-driven too: an issue-queue entry that is not ready parks on its
 blocking operand and is re-checked only when writeback, pseudo-retire or
@@ -33,9 +38,10 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from typing import TYPE_CHECKING, Iterable, List, Optional, Set, Tuple, Union
+import math
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.hierarchy import PrivateHierarchy
 from repro.uarch.branch import GShareBranchPredictor
 from repro.uarch.config import CoreConfig
 from repro.uarch.frontend import FetchedUop, FrontEnd
@@ -156,7 +162,7 @@ class OoOCore:
         self,
         trace: Union[Trace, TraceSource],
         config: Optional[CoreConfig] = None,
-        hierarchy: Optional[MemoryHierarchy] = None,
+        hierarchy: Optional[PrivateHierarchy] = None,
         controller: Optional["RunaheadController"] = None,
         name: Optional[str] = None,
         probes: Optional[Iterable[Probe]] = None,
@@ -178,7 +184,7 @@ class OoOCore:
         self.trace: Optional[Trace] = (
             source.trace if isinstance(source, MaterializedTrace) else None
         )
-        self.hierarchy = hierarchy or MemoryHierarchy()
+        self.hierarchy = hierarchy or PrivateHierarchy()
         #: This core's identity on the shared uncore, mirrored from its
         #: memory port; probes receive the core object and can read it to
         #: attribute fills/writebacks/memory accesses in multi-core runs.
@@ -220,8 +226,7 @@ class OoOCore:
         #: Cycle at which statistics collection began (nonzero only when a
         #: warmup prefix was excluded via ``run(stats_start_uop=...)``).
         self._stats_cycle_base = 0
-        # Stepping bookkeeping shared between run() and external lockstep
-        # drivers (see begin_run/step_cycle).
+        # Stepping bookkeeping read by step_cycle (see begin_run).
         self._warmup_target = 0
         self._last_committed = 0
 
@@ -282,44 +287,19 @@ class OoOCore:
         never leaks into the returned stats.  Microarchitectural state is
         *not* reset — that is the entire point of the warmup.
 
-        The loop body is exactly the public stepping API an external
-        lockstep driver uses (:meth:`begin_run`, :meth:`step_cycle`,
-        :meth:`next_wake_cycle`, :meth:`skip_to`, :meth:`finish_run`) — a
-        single-core run and a core inside a
-        :class:`~repro.simulation.multicore.MultiCoreSimulator` execute the
-        same sequence of operations.
+        The run is the one-core case of :class:`MultiCoreSimulator`, the
+        only stepping loop.
         """
         self.begin_run(stats_start_uop)
-        cursor = self.frontend.cursor
-        step_cycle = self.step_cycle
-        while True:
-            total = cursor.known_length
-            if total is not None and self.committed_trace_uops >= total:
-                break
-            if max_cycles is not None and self.cycle >= max_cycles:
-                break
-            if step_cycle():
-                self.cycle += 1
-                continue
-            if self.finished:
-                # A streaming source's length is only learned when the fetch
-                # stage exhausts it, possibly inside this very step.
-                break
-            wake = self.next_wake_cycle()
-            if wake is None:
-                raise SimulationDeadlock(self.deadlock_report())
-            if max_cycles is not None:
-                wake = min(wake, max_cycles)
-            self.skip_to(wake)
-        return self.finish_run()
+        return MultiCoreSimulator((self,), max_cycles).run()[0]
 
-    # ---------------------------------------------------- external stepping
+    # ---------------------------------------------------------- stepping API
 
     def begin_run(self, stats_start_uop: Optional[int] = None) -> None:
-        """Arm the stepping bookkeeping before the first :meth:`step_cycle`.
+        """Arm the warmup/measurement boundary before the first :meth:`step_cycle`.
 
-        External drivers call this once per core before entering their
-        lockstep loop; :meth:`run` calls it internally.
+        A fresh core needs no call; :meth:`run` and the run builders call it
+        to exclude the first ``stats_start_uop`` commits from the statistics.
         """
         self._warmup_target = stats_start_uop or 0
         self._last_committed = self.committed_trace_uops
@@ -327,12 +307,35 @@ class OoOCore:
     def step_cycle(self) -> bool:
         """One cycle of work at ``self.cycle``, without advancing the clock.
 
-        Runs :meth:`step` plus the commit bookkeeping (cursor trimming, the
-        warmup/measurement boundary); the caller decides how the clock moves
-        afterwards — ``+1`` on progress, :meth:`skip_to` on a computed wake
-        cycle.  Returns whether any pipeline stage made progress.
+        Runs every pipeline stage plus the commit bookkeeping (cursor
+        trimming, the warmup/measurement boundary); the caller decides how
+        the clock moves afterwards — ``+1`` on progress, :meth:`skip_to` on a
+        computed wake cycle.  Returns whether any pipeline stage made progress.
         """
-        progress = self.step()
+        cycle = self.cycle
+        progress = 0
+        if self._events and self._events[0][0] <= cycle:
+            progress += self._writeback()
+        progress += self._commit()
+        if self.iq._ready:
+            progress += self._issue()
+        progress += self._dispatch()
+        progress += self.frontend.tick(cycle)
+        controller = self.controller
+        if controller is not None:
+            progress += controller.tick(cycle)
+        # One evaluation serves both the new-stall edge detection and the
+        # stall-cycle accounting (this used to be computed twice per step).
+        stalled = self._in_full_window_stall()
+        self._check_full_window_stall(stalled)
+        stats = self.stats
+        if stalled:
+            stats.full_window_stall_cycles += 1
+        if self.mode == ExecutionMode.RUNAHEAD:
+            stats.runahead_cycles += 1
+        if self.probes.cycle:
+            for probe in self.probes.cycle:
+                probe.on_cycle(self, cycle)
         committed = self.committed_trace_uops
         if committed != self._last_committed:
             # Only a cycle that actually retired micro-ops can advance the
@@ -344,25 +347,17 @@ class OoOCore:
                 # width inside one step; those commits are measured.
                 self._begin_measurement(committed - self._warmup_target)
                 self._warmup_target = 0
-        return progress
-
-    def next_wake_cycle(self) -> Optional[int]:
-        """The earliest cycle at which stepping again could make progress.
-
-        ``None`` means no scheduled event exists and the core is deadlocked
-        (an external driver with other still-running cores may keep stepping
-        them; it must raise once *every* core is stuck).
-        """
-        return self._next_wake_cycle()
+        return progress > 0
 
     def skip_to(self, wake: int) -> None:
         """Fast-forward the clock to ``wake`` (at least one cycle) while idle.
 
         Charges the skipped span to the stall/runahead cycle counters —
         ``skipped - 1`` because the no-progress cycle itself already counted
-        inside :meth:`step` — and fires ``on_cycles_skipped`` probes over the
-        fast-forwarded remainder.  Must only be called after a no-progress
-        :meth:`step_cycle`, mirroring the idle-skip in :meth:`run`.
+        inside :meth:`step_cycle` — and fires ``on_cycles_skipped`` probes
+        over the fast-forwarded remainder.  Must only be called after a
+        no-progress :meth:`step_cycle`; :meth:`MultiCoreSimulator.run` is its
+        caller.
         """
         stats = self.stats
         skipped = max(wake, self.cycle + 1) - self.cycle
@@ -373,7 +368,7 @@ class OoOCore:
         probes_skipped = self.probes.cycles_skipped
         if probes_skipped and skipped > 1:
             # The no-progress cycle itself already fired on_cycle inside
-            # step(); the span covers only the fast-forwarded remainder.
+            # step_cycle(); the span covers only the fast-forwarded remainder.
             for probe in probes_skipped:
                 probe.on_cycles_skipped(self, self.cycle + 1, self.cycle + skipped)
         self.cycle += skipped
@@ -410,34 +405,6 @@ class OoOCore:
         stats.committed_uops = already_measured
         events.committed_uops = already_measured
         self._stats_cycle_base = self.cycle
-
-    def step(self) -> bool:
-        """Execute one cycle; return whether any stage made progress."""
-        cycle = self.cycle
-        progress = 0
-        if self._events and self._events[0][0] <= cycle:
-            progress += self._writeback()
-        progress += self._commit()
-        if self.iq._ready:
-            progress += self._issue()
-        progress += self._dispatch()
-        progress += self.frontend.tick(cycle)
-        controller = self.controller
-        if controller is not None:
-            progress += controller.tick(cycle)
-        # One evaluation serves both the new-stall edge detection and the
-        # stall-cycle accounting (this used to be computed twice per step).
-        stalled = self._in_full_window_stall()
-        self._check_full_window_stall(stalled)
-        stats = self.stats
-        if stalled:
-            stats.full_window_stall_cycles += 1
-        if self.mode == ExecutionMode.RUNAHEAD:
-            stats.runahead_cycles += 1
-        if self.probes.cycle:
-            for probe in self.probes.cycle:
-                probe.on_cycle(self, cycle)
-        return progress > 0
 
     # -------------------------------------------------------------- writeback
 
@@ -773,15 +740,8 @@ class OoOCore:
         """Whether the ROB is full behind an outstanding long-latency load."""
         return self._in_full_window_stall()
 
-    def _check_full_window_stall(self, stalled: Optional[bool] = None) -> None:
-        """Detect the start of a new full-window stall.
-
-        ``stalled`` lets :meth:`step` pass its already-computed
-        :meth:`_in_full_window_stall` result instead of paying a second
-        evaluation per cycle; callers without one omit it.
-        """
-        if stalled is None:
-            stalled = self._in_full_window_stall()
+    def _check_full_window_stall(self, stalled: bool) -> None:
+        """Detect the start of a new full-window stall (``stalled``: this cycle's state)."""
         if not stalled:
             self._current_stall_seq = None
             return
@@ -858,7 +818,13 @@ class OoOCore:
 
     # ------------------------------------------------------------- wake logic
 
-    def _next_wake_cycle(self) -> Optional[int]:
+    def next_wake_cycle(self) -> Optional[int]:
+        """The earliest cycle at which stepping again could make progress.
+
+        ``None`` means no scheduled event exists and the core is deadlocked
+        (the driver keeps stepping other still-running cores and raises once
+        *every* core is stuck).
+        """
         # Running minimum over the wake candidates: this runs on every
         # no-progress cycle (the stall fast path), so no candidate list is
         # materialised — each source is compared against ``best`` in place.
@@ -902,3 +868,87 @@ class OoOCore:
             f"ROB={len(self.rob)}/{self.rob.capacity}, IQ={len(self.iq)}/{self.iq.capacity}, "
             f"uop queue={len(self.frontend.uop_queue)}, head={head!r}"
         )
+
+
+class MultiCoreSimulator:
+    """Steps N prepared cores in lockstep on one shared global clock.
+
+    This is the only simulation loop: :meth:`OoOCore.run` and both run
+    builders (``run_simulation``, ``run_multicore``) drive their cores
+    through it.  Every active core performs one :meth:`~OoOCore.step_cycle`
+    per global cycle; the clock advances one cycle whenever *any* core made
+    progress, and a globally idle cycle fast-forwards all cores to the
+    earliest wake-up event among them.  A core that commits its whole trace
+    or reaches ``max_cycles`` is finalised (:meth:`~OoOCore.finish_run`) and
+    leaves the pool; the survivors keep running — and keep the shared
+    bank/bus state busy.  Shared-uncore accesses interleave in core order
+    within a cycle, the deterministic tie-break.
+    """
+
+    __slots__ = ("cores", "max_cycles")
+
+    def __init__(
+        self, cores: Sequence[OoOCore], max_cycles: Optional[int] = None
+    ) -> None:
+        if not cores:
+            raise ValueError("MultiCoreSimulator needs at least one core")
+        self.cores = list(cores)
+        self.max_cycles = max_cycles
+
+    def run(self) -> List[CoreStats]:
+        """Run every core to completion; return their stats in core order."""
+        budget = math.inf if self.max_cycles is None else self.max_cycles
+        results: Dict[int, CoreStats] = {}
+        active = _retire_done(self.cores, budget, results)
+        while active:
+            progressed = False
+            stalled = []
+            for core in active:
+                if core.step_cycle():
+                    # A finishing step's cycle is part of the core's run.
+                    core.cycle += 1
+                    progressed = True
+                elif not core.finished:
+                    # A core that finished at a no-progress step keeps its
+                    # clock there; the others wait or skip.
+                    stalled.append(core)
+            if progressed:
+                # In lockstep a stalled core cannot sleep while a neighbour
+                # works: the global clock moves one cycle for it too.
+                for core in stalled:
+                    core.cycle += 1
+            elif stalled:
+                wake = None
+                for core in stalled:
+                    candidate = core.next_wake_cycle()
+                    if candidate is not None and (wake is None or candidate < wake):
+                        wake = candidate
+                if wake is None:
+                    raise SimulationDeadlock(
+                        "\n\n".join(
+                            f"[core {core.core_id}]\n{core.deadlock_report()}"
+                            for core in stalled
+                        )
+                    )
+                wake = min(wake, budget)
+                for core in stalled:
+                    core.skip_to(wake)
+            # The active list is rebuilt only on the cycle a core finishes.
+            for core in active:
+                if core.cycle >= budget or core.finished:
+                    active = _retire_done(active, budget, results)
+                    break
+        return [results[id(core)] for core in self.cores]
+
+
+def _retire_done(
+    cores: Sequence[OoOCore], budget: float, results: Dict[int, CoreStats]
+) -> List[OoOCore]:
+    """Finalise the cores that finished or hit ``budget``; return the others."""
+    running = []
+    for core in cores:
+        if core.cycle >= budget or core.finished:
+            results[id(core)] = core.finish_run()
+        else:
+            running.append(core)
+    return running

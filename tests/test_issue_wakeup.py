@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import build_controller
 from repro.registry import build_workload
-from repro.simulation.simulator import run_variant
+from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.uarch.config import CoreConfig
 from repro.uarch.core import DynInstr, OoOCore, SimulationDeadlock
 from repro.uarch.probes import Probe
@@ -128,8 +128,10 @@ def test_no_parked_entry_is_ready_on_random_loops(body, iterations, stride_lines
     trace = loop_trace(body, iterations, stride_lines)
     for variant in VARIANTS:
         try:
-            result = run_variant(
-                trace, variant=variant, config=SMALL_CORE, probes=[WakeupAuditProbe()]
+            result = run_simulation(
+                trace,
+                SimulationRequest(variant=variant, config=SMALL_CORE),
+                extra_probes=[WakeupAuditProbe()],
             )
         except SimulationDeadlock:
             # A separate, known model defect (pinned by the strict xfail
@@ -143,7 +145,7 @@ def test_audit_covers_poisoned_runahead_on_every_variant():
     trace = build_workload("mcf", num_uops=700)
     for variant in VARIANTS:
         audit = WakeupAuditProbe()
-        run_variant(trace, variant=variant, probes=[audit])
+        run_simulation(trace, SimulationRequest(variant=variant), extra_probes=[audit])
         assert audit.parked_checks > 0, variant
         if variant != "ooo" and variant != "runahead_buffer":
             # The runahead buffer replays its chain outside the issue queue.
@@ -227,5 +229,5 @@ def test_load_waiting_for_an_mshr_wakes_the_idle_core():
     ]
     trace = loop_trace(body, iterations=56, stride_lines=17)
     for variant in ("runahead", "runahead_buffer"):
-        result = run_variant(trace, variant=variant, config=SMALL_CORE)
+        result = run_simulation(trace, SimulationRequest(variant=variant, config=SMALL_CORE))
         assert result.stats.committed_uops == len(trace)

@@ -34,13 +34,12 @@ from repro.simulation.golden import stats_digest
 from repro.simulation.multicore import (
     DEFAULT_ADDRESS_STRIDE,
     CoreAssignment,
-    MultiCoreSimulator,
     MultiCoreSpec,
     run_multicore,
 )
-from repro.simulation.simulator import SimulationRequest, run_simulation, run_variant
+from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.simulation.study import build_multicore_spec, build_study, study_jobs
-from repro.uarch.core import OoOCore
+from repro.uarch.core import MultiCoreSimulator, OoOCore, SimulationDeadlock
 from repro.uarch.probes import default_probes
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "goldens" / "golden_stats.json"
@@ -148,6 +147,13 @@ class TestAttributionConservation:
             assert len(counters) == len(assignments)
             assert all(value >= 0 for value in counters)
 
+    def test_driver_reports_every_stuck_core_on_deadlock(self):
+        _, cores = _build_cores([("bwaves", "ooo"), ("mcf", "pre")], 200)
+        for core in cores:
+            core.next_wake_cycle = lambda: None  # no event will ever wake it
+        with pytest.raises(SimulationDeadlock, match=r"\[core 0\][\s\S]*\[core 1\]"):
+            MultiCoreSimulator(cores).run()
+
     def test_report_lists_are_copies_of_the_live_uncore(self):
         trace = build_workload("bwaves", num_uops=300)
         result = run_multicore([(trace, "pre"), (trace, "ooo")])
@@ -198,12 +204,6 @@ class TestSimulationRequest:
             variant="pre", max_cycles=5000, probes=["mlp"], warmup_uops=0
         )
         assert SimulationRequest.from_dict(request.to_dict()) == request
-
-    def test_run_variant_shim_matches_run_simulation(self):
-        trace = build_workload("milc", num_uops=500)
-        via_shim = run_variant(trace, "pre")
-        via_request = run_simulation(trace, SimulationRequest(variant="pre"))
-        assert stats_digest(via_shim.stats) == stats_digest(via_request.stats)
 
     def test_rejects_unknown_variant_and_negative_warmup(self):
         trace = build_workload("milc", num_uops=100)
