@@ -82,6 +82,7 @@ from repro.errors import (
     BadSpecError,
     SimulationError,
 )
+from repro.serde import write_json
 from repro.service.client import DEFAULT_SERVICE_URL, ServiceClient, ServiceError
 from repro.uarch.config import CoreConfig
 from repro.registry import (
@@ -238,8 +239,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     _print_comparison(result.comparison, args.figure)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle)
+        write_json(args.output, result.to_dict())
         print(f"\nfull sweep result written to {args.output}", file=sys.stderr)
     return EXIT_OK
 
@@ -313,8 +313,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     )
     _print_comparison(comparison, args.figure)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(comparison.to_dict(), handle)
+        write_json(args.output, comparison.to_dict())
         print(f"\nfull comparison written to {args.output}", file=sys.stderr)
     return EXIT_OK
 
@@ -372,8 +371,7 @@ def _trace_replay_sharded(args: argparse.Namespace, variants: List[str]) -> int:
         file=sys.stderr,
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(output, handle)
+        write_json(args.output, output)
         print(f"\nsharded results written to {args.output}", file=sys.stderr)
     return EXIT_OK
 
@@ -539,8 +537,7 @@ def _cmd_study_run(args: argparse.Namespace) -> int:
     )
     print(format_study_markdown(result))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle)
+        write_json(args.output, result.to_dict())
         print(f"\nfull study result written to {args.output}", file=sys.stderr)
     if args.csv:
         write_study_csv(result, args.csv)
@@ -651,8 +648,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     )
     if args.output:
         result = client.result(final["id"])
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(result["result"], handle)
+        write_json(args.output, result["result"])
         print(f"result document written to {args.output}", file=sys.stderr)
     return EXIT_OK
 

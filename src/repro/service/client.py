@@ -301,7 +301,8 @@ class ServiceClient:
         """Follow a job's events until it reaches a terminal state.
 
         Long-polls ``/events`` (so progress streams without busy-waiting),
-        invoking ``on_event`` per event, and returns the final job summary.
+        invoking ``on_event`` per event, and returns the final job summary
+        (the one the terminal events reply carries).
         ``deadline`` is a monotonic-clock timestamp; ``None`` waits forever.
 
         Survives a daemon restart mid-poll: a dropped connection or 503 puts
@@ -333,7 +334,10 @@ class ServiceClient:
                     on_event(event)
             after = chunk.get("next", after)
             if chunk.get("state") in ("done", "failed"):
-                return self.job(job_id)
+                # A terminal events reply carries the job summary; a daemon
+                # that predates that field needs one more request.
+                summary = chunk.get("job")
+                return summary if summary is not None else self.job(job_id)
 
 
 __all__ = [

@@ -35,10 +35,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import signal
 import sys
-import tempfile
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -52,6 +50,7 @@ from repro.errors import (
     BadSpecError,
     JobCancelled,
 )
+from repro.serde import write_json
 from repro.service.documents import ParsedDocument, parse_document
 from repro.service.fleet import (
     DEFAULT_LEASE_TTL,
@@ -363,20 +362,7 @@ class ExperimentService:
 
     def _write_result(self, job_id: str, result_doc: Dict[str, Any]) -> None:
         """Persist a finished job's result document atomically."""
-        path = self.results_dir / f"{job_id}.json"
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.results_dir), prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(result_doc, handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_json(self.results_dir / f"{job_id}.json", result_doc, atomic=True)
 
     # -------------------------------------------------------------- events
 
@@ -687,6 +673,13 @@ class ExperimentService:
             return 200, self.fleet.drain(worker_id), {}
         raise _HttpError(404, f"no route for {path!r}")
 
+    @staticmethod
+    def _job_summary(job: _Job) -> Dict[str, Any]:
+        """The ``GET /v1/jobs/<id>`` document of one job."""
+        summary = job.record.summary()
+        summary["events"] = len(job.events)
+        return summary
+
     async def _dispatch_job(
         self, method: str, path: str, query: Dict[str, List[str]]
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
@@ -697,9 +690,7 @@ class ExperimentService:
         if len(parts) == 4:
             if method != "GET":
                 raise _HttpError(405, f"{method} not supported on {path}")
-            summary = job.record.summary()
-            summary["events"] = len(job.events)
-            return 200, summary, {}
+            return 200, self._job_summary(job), {}
         if len(parts) == 5 and parts[4] == "events":
             if method != "GET":
                 raise _HttpError(405, f"{method} not supported on {path}")
@@ -709,16 +700,17 @@ class ExperimentService:
             )
             await self._wait_for_events(job, after, timeout)
             events = [event for event in job.events if event["seq"] > after]
-            return (
-                200,
-                {
-                    "id": job.record.id,
-                    "state": job.record.state,
-                    "events": events,
-                    "next": after + len(events),
-                },
-                {},
-            )
+            reply = {
+                "id": job.record.id,
+                "state": job.record.state,
+                "events": events,
+                "next": after + len(events),
+            }
+            if job.terminal:
+                # The final summary rides along, so a follower needs no
+                # separate GET /v1/jobs/<id> once the job has ended.
+                reply["job"] = self._job_summary(job)
+            return 200, reply, {}
         if len(parts) == 5 and parts[4] == "result":
             if method != "GET":
                 raise _HttpError(405, f"{method} not supported on {path}")

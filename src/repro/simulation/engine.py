@@ -30,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -41,7 +40,7 @@ import repro.workloads  # noqa: F401  (imported for its workload registrations)
 from repro.errors import JobCancelled
 from repro.memory.hierarchy import HierarchyConfig
 from repro.registry import PROBE_REGISTRY, VARIANT_REGISTRY, WORKLOAD_REGISTRY, build_workload
-from repro.serde import JSONSerializable, canonical_json
+from repro.serde import JSONSerializable, canonical_json, write_json
 from repro.simulation.experiment import BenchmarkResult, ComparisonResult
 from repro.simulation.multicore import MultiCoreSpec, run_multicore
 from repro.simulation.simulator import (
@@ -373,16 +372,86 @@ def _multicore_payload(spec: MultiCoreSpec) -> Dict[str, Any]:
     return {"spec": spec.to_dict(), "tokens": tokens}
 
 
+def _registry_traces(payload: Dict[str, Any]) -> List[Tuple[str, Optional[int], Any]]:
+    """``(workload, num_uops, token)`` of every registry trace a job simulates.
+
+    The job's own trace first (for a ``workload`` source), then each
+    co-runner's in core order; a co-runner without its own length inherits
+    the job's.
+    """
+    source = payload["source"]
+    primary_uops = source.get("num_uops")
+    needed = []
+    if source["kind"] == "workload":
+        needed.append((source["name"], primary_uops, source.get("token")))
+    multicore = payload.get("multicore")
+    if multicore is not None:
+        for core, token in zip(multicore["spec"]["cores"], multicore["tokens"]):
+            num_uops = core.get("num_uops")
+            needed.append(
+                (core["workload"], primary_uops if num_uops is None else num_uops, token)
+            )
+    return needed
+
+
+class _TraceMemo:
+    """Registry traces built once and shared by the cells of one engine run.
+
+    A sweep runs every variant (and every configuration) of a workload on the
+    same trace, and generators such as mcf's cost tens of milliseconds per
+    build at any length.  Traces are keyed by ``(workload, num_uops, workload
+    token)`` and each is dropped as soon as the last cell of the run that
+    needs it has taken it, so the memo never outlives the run and holds only
+    traces that remaining cells share.  Traces are reopenable and never
+    mutated by a simulation, so sharing one cannot change a result.
+    """
+
+    def __init__(self, payloads: Sequence[Dict[str, Any]]) -> None:
+        self._uses: Dict[Tuple[str, Optional[int], str], int] = {}
+        self._traces: Dict[Tuple[str, Optional[int], str], Any] = {}
+        for payload in payloads:
+            for needed in _registry_traces(payload):
+                key = self._key(needed)
+                self._uses[key] = self._uses.get(key, 0) + 1
+
+    @staticmethod
+    def _key(needed: Tuple[str, Optional[int], Any]) -> Tuple[str, Optional[int], str]:
+        name, num_uops, token = needed
+        return name, num_uops, repr(token)
+
+    def take(self, needed: Tuple[str, Optional[int], Any]) -> Any:
+        """The trace for ``needed``, built on its first use in the run."""
+        key = self._key(needed)
+        trace = self._traces.pop(key, None)
+        if trace is None:
+            trace = build_workload(needed[0], num_uops=needed[1])
+        remaining = self._uses.get(key, 0) - 1
+        self._uses[key] = remaining
+        if remaining > 0:
+            self._traces[key] = trace
+        return trace
+
+
 def _execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Run one (benchmark, variant, config) cell; returns a JSON-able result.
 
     Top-level so it pickles into worker processes.  Both the serial and the
     parallel path call exactly this function, which is what makes them
-    equivalent by construction.
+    equivalent by construction.  The serial path adds a ``trace_memo`` (a
+    :class:`_TraceMemo`) to its copy of each payload, sharing registry
+    traces between the cells of one run; without it every registry trace is
+    built afresh.
     """
     source = payload["source"]
+    traces = payload.get("trace_memo")
+    built = [
+        traces.take(needed)
+        if traces is not None
+        else build_workload(needed[0], num_uops=needed[1])
+        for needed in _registry_traces(payload)
+    ]
     if source["kind"] == "workload":
-        trace = build_workload(source["name"], num_uops=source.get("num_uops"))
+        trace = built.pop(0)
     elif source["kind"] == "file":
         # Rebuilt locally so worker processes stream the file instead of
         # unpickling megabytes of micro-ops.
@@ -396,18 +465,11 @@ def _execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
     multicore = payload.get("multicore")
     if multicore is not None:
         spec = MultiCoreSpec.from_dict(multicore["spec"])
-        primary_uops = source.get("num_uops")
         pairs = [(trace, payload["variant"])]
-        for assignment in spec.cores:
-            num_uops = (
-                assignment.num_uops
-                if assignment.num_uops is not None
-                else primary_uops
-            )
-            pairs.append(
-                (build_workload(assignment.workload, num_uops=num_uops),
-                 assignment.variant)
-            )
+        pairs.extend(
+            (co_trace, assignment.variant)
+            for co_trace, assignment in zip(built, spec.cores)
+        )
         result = run_multicore(
             pairs,
             config=config,
@@ -553,20 +615,7 @@ class ResultCache:
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         """Store ``payload`` under ``key`` atomically."""
-        path = self.path_for(key)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.directory), prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_json(self.path_for(key), payload, atomic=True)
         if self.max_bytes is not None:
             self.prune()
 
@@ -1137,10 +1186,11 @@ class ExperimentEngine:
                     pool.shutdown(wait=False, cancel_futures=True)
         # Serial path, also the pool's fallback: skip results a partially
         # successful pool run already delivered (they are cached/recorded).
+        traces = _TraceMemo(payloads[delivered:])
         for offset, payload in enumerate(payloads):
             if offset < delivered:
                 continue
-            on_result(offset, _execute_job(payload))
+            on_result(offset, _execute_job(dict(payload, trace_memo=traces)))
 
     @staticmethod
     def _abort_pool(pool: Optional[ProcessPoolExecutor], futures: List[Any]) -> None:

@@ -12,6 +12,7 @@ from repro.simulation.engine import (
     SweepSpec,
 )
 from repro.simulation.experiment import ComparisonResult, run_comparison
+from repro.simulation.multicore import CoreAssignment, MultiCoreSpec
 from repro.workloads.generators import compute_kernel
 from repro.workloads.spec_surrogates import build_surrogate
 
@@ -83,6 +84,36 @@ class TestEngineExecution:
         serial = run_comparison(traces, variants=SMALL_VARIANTS)
         parallel = run_comparison(traces, variants=SMALL_VARIANTS, workers=2)
         assert serial.to_dict() == parallel.to_dict()
+
+    def test_serial_run_builds_each_registry_trace_once(self, monkeypatch):
+        import repro.simulation.engine as engine_module
+
+        built = []
+        real_build = engine_module.build_workload
+
+        def counting_build(name, num_uops=None):
+            built.append((name, num_uops))
+            return real_build(name, num_uops=num_uops)
+
+        monkeypatch.setattr(engine_module, "build_workload", counting_build)
+        engine = ExperimentEngine(workers=1)
+        spec = SweepSpec(
+            workloads=["milc", "mcf"], variants=["ooo", "pre"], num_uops=400,
+            configs=[{}, {"rob_size": 64}],
+            multicore=MultiCoreSpec(cores=[CoreAssignment(workload="milc")]),
+        )
+        payloads = engine.expand_sweep_payloads(spec)
+        shared = engine.run_sweep(spec)
+        assert sorted(built) == [("mcf", 400), ("milc", 400)]
+        # Every cell equals a run that builds its own traces.
+        fresh = [engine_module._execute_job(payload) for payload in payloads]
+        results = [
+            bench.results[variant].to_dict()
+            for cell in shared.cells
+            for bench in cell.comparison.benchmarks
+            for variant in ("ooo", "pre")
+        ]
+        assert results == fresh
 
     def test_config_override_cells(self):
         engine = ExperimentEngine(workers=1)

@@ -205,6 +205,50 @@ def test_events_long_poll_cursor(service):
     assert [event["seq"] for event in tail["events"]] == [chunk["next"]]
 
 
+class CountingClient(ServiceClient):
+    """A client that records every ``(method, path)`` it sends."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent = []
+
+    def request(self, method, path, body=None):
+        self.sent.append((method, path.split("?")[0]))
+        return super().request(method, path, body)
+
+
+def test_terminal_events_reply_carries_the_job_summary(service):
+    client = CountingClient(service.base_url)
+    wait_for(client, client.submit(SWEEP_DOC)["id"])  # cold: fills the cache
+    job_id = client.submit(SWEEP_DOC)["id"]
+    client.sent.clear()
+    final, _ = wait_for(client, job_id)
+    assert final["accounting"] == {"total": 1, "cached": 1, "simulated": 0}
+    assert final == client.job(job_id)
+    # A warm job's wait is events polls only: no trailing job GET.
+    waited = client.sent[:-1]
+    assert waited and set(waited) == {("GET", f"/v1/jobs/{job_id}/events")}
+    chunk = client.events(job_id, after=0, timeout=1.0)
+    assert chunk["job"] == final
+
+
+def test_wait_falls_back_to_the_job_endpoint_without_a_summary(service):
+    class OlderDaemonClient(CountingClient):
+        def events(self, job_id, after=0, timeout=25.0):
+            chunk = super().events(job_id, after=after, timeout=timeout)
+            chunk.pop("job", None)  # a daemon that predates the field
+            return chunk
+
+    client = OlderDaemonClient(service.base_url)
+    job_id = client.submit(SWEEP_DOC)["id"]
+    client.sent.clear()
+    final, events = wait_for(client, job_id)
+    assert final["state"] == "done"
+    assert final["accounting"] == {"total": 1, "cached": 0, "simulated": 1}
+    assert final["events"] == len(events)
+    assert client.sent[-1] == ("GET", f"/v1/jobs/{job_id}")
+
+
 def test_named_study_document_and_resubmit_dedupe(service):
     # The acceptance path: submit rob-scaling, poll to completion, resubmit
     # and observe 100% cache dedupe (0 simulated).
