@@ -209,11 +209,8 @@ def _decoder(hint: Any, strict: bool) -> Decoder:
     try:
         return _DECODERS[key]
     except KeyError:
-        pass
-    except TypeError:  # an unhashable hint: compile it uncached
-        return _compile(hint, strict)
-    decode = _DECODERS[key] = _compile(hint, strict)
-    return decode
+        decode = _DECODERS[key] = _compile(hint, strict)
+        return decode
 
 
 def _compile(hint: Any, strict: bool) -> Decoder:
